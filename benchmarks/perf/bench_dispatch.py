@@ -16,11 +16,14 @@ Three claims are measured (see ``docs/performance.md``):
    the precomputed chord table), the shm transport must be at least
    ``SPEEDUP_FLOOR``x faster end to end.
 
-The simulation fan-outs run at ``M = 64`` only: building the leg
-coverage (chord) table is O(M^3) scalar Python (~2.5 s at M=64, hours
-at M=576), a one-time parent-side cost unrelated to dispatch, so larger
-cells would measure table construction, not transport.  The cap is
-recorded in the results file rather than applied silently.  Multistart
+The simulation fan-outs run at ``M = 64`` only: the leg coverage
+(chord) table is still O(M^3) work, done by the vectorized
+``repro.topology.timing.leg_chords`` kernel (on a 2-core host about
+17 ms at M=64, 0.8 s at M=256 and 11 s at M=576), a one-time
+parent-side cost unrelated to dispatch that grows with M while a
+transport's cost does not, so larger cells would increasingly measure
+table construction and simulation, not transport.  The cap is recorded
+in the results file rather than applied silently.  Multistart
 needs no chord table and covers ``M in {64, 256, 576}``.
 
 Results are written to ``benchmarks/results/BENCH_dispatch.json``.
@@ -382,7 +385,7 @@ def main(argv=None) -> int:
             "milliseconds next to a chord-table payload) carries the "
             f">= {SPEEDUP_FLOOR:.0f}x end-to-end speedup floor; "
             "simulation fan-outs are capped at M=64 because the chord "
-            "table build is O(M^3) scalar Python — a parent-side "
+            "table build is O(M^3) geometry — a parent-side "
             "construction cost unrelated to dispatch — not because "
             "transport stops scaling",
         ),

@@ -7,12 +7,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.coverage import chord_through_disc
 from repro.geometry.points import Point, PointLike, as_point
-from repro.geometry.segments import Segment
 from repro.topology.timing import (
     check_disjoint_pois,
-    passby_tensor,
+    chord_passby_tensor,
+    leg_chord_table,
     support_passby_entries,
     travel_distance_matrix,
     travel_time_matrix,
@@ -41,41 +40,24 @@ class LegCoverageTable:
     * ``poi`` / ``t_in`` / ``t_out`` — the flat chord arrays, ordered by
       leg and, within a leg, by ascending PoI index.
 
-    Chords are computed by the same scalar
-    :func:`~repro.geometry.coverage.chord_through_disc` the per-step
-    reference engine historically called, so cached and uncached values
-    agree bit for bit.
+    Chords come from the vectorized
+    :func:`~repro.topology.timing.leg_chords` kernel, one origin row at
+    a time.  It evaluates the scalar
+    :func:`~repro.geometry.coverage.chord_through_disc` expressions
+    elementwise in the same order, so every slot equals the scalar
+    per-(leg, PoI) loop bit for bit (``tests/topology`` keeps that loop
+    as the oracle).
     """
 
     __slots__ = ("size", "counts", "offsets", "poi", "t_in", "t_out")
 
     def __init__(self, positions: Sequence[Point], radius: float) -> None:
-        size = len(positions)
-        counts = np.zeros(size * size, dtype=np.int64)
-        poi_ids: List[int] = []
-        t_ins: List[float] = []
-        t_outs: List[float] = []
-        for origin in range(size):
-            for destination in range(size):
-                if origin == destination:
-                    continue
-                segment = Segment(positions[origin], positions[destination])
-                leg = origin * size + destination
-                for poi in range(size):
-                    chord = chord_through_disc(
-                        segment, positions[poi], radius
-                    )
-                    if chord is not None:
-                        counts[leg] += 1
-                        poi_ids.append(poi)
-                        t_ins.append(chord[0])
-                        t_outs.append(chord[1])
-        self.size = size
+        counts, self.poi, self.t_in, self.t_out = leg_chord_table(
+            positions, radius
+        )
+        self.size = len(positions)
         self.counts = counts
         self.offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self.poi = np.asarray(poi_ids, dtype=np.int64)
-        self.t_in = np.asarray(t_ins, dtype=float)
-        self.t_out = np.asarray(t_outs, dtype=float)
 
     def leg(self, origin: int, destination: int) -> List[tuple]:
         """Chords of one leg as ``(poi, t_in, t_out)`` tuples."""
@@ -318,15 +300,18 @@ class Topology:
 
         Dense ``O(M^3)`` — built lazily on first access and cached, so
         topologies that only ever use the sparse entry list
-        (:meth:`passby_entries`) never allocate it.
+        (:meth:`passby_entries`) never allocate it.  It is a scatter of
+        :meth:`chord_table` (built first if cold), so the leg geometry is
+        computed once per topology whichever is asked for first.
         """
         return self._dense_passby().copy()
 
     def _dense_passby(self) -> np.ndarray:
         if self._passby_cache is None:
-            self._passby_cache = passby_tensor(
-                self.positions, self._sensing_radius, self._speed,
-                self._pause_times,
+            table = self.chord_table()
+            self._passby_cache = chord_passby_tensor(
+                self.positions, self._speed, self._pause_times,
+                table.counts, table.poi, table.t_in, table.t_out,
             )
         return self._passby_cache
 
@@ -352,11 +337,11 @@ class Topology:
     def chord_table(self) -> LegCoverageTable:
         """Per-leg chord fractions (see :class:`LegCoverageTable`).
 
-        Built lazily on first use — the ``O(M^3)`` disc intersections are
-        the expensive part of starting a simulation — and cached on the
-        instance, so repeated simulations of one topology (and fan-out
-        workers receiving a pickled copy of an already-warmed topology)
-        pay for the geometry once.
+        Built lazily on first use — ``O(M^3)`` disc intersections, one
+        vectorized origin row at a time — and cached on the instance, so
+        repeated simulations of one topology, its :attr:`passby` tensor
+        and fan-out workers receiving a pickled copy of an already-warmed
+        topology pay for the geometry once.
         """
         table = getattr(self, "_chord_table", None)
         if table is None:

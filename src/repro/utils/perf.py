@@ -54,6 +54,7 @@ class PerfCounters:
     incremental_refactorizations: int = 0
     dispatch_bytes: int = 0
     dispatch_seconds: float = 0.0
+    result_bytes: int = 0
 
     def add(self, name: str, amount=1) -> None:
         """Increment counter ``name`` by ``amount``."""

@@ -14,6 +14,7 @@ from repro.exec import (
     set_default_executor,
     using_executor,
 )
+from repro.utils.perf import perf_scope
 
 
 def _square(x):
@@ -79,6 +80,18 @@ class TestPoolExecutors:
         executor.map(_square, [1])
         executor.close()
         executor.close()
+
+
+class TestPerfScope:
+    def test_process_map_inside_perf_scope(self):
+        """A process fan-out counts result bytes into an open scope."""
+        with perf_scope() as counters:
+            with ProcessExecutor(jobs=2) as executor:
+                assert executor.map(_square, range(4)) == [0, 1, 4, 9]
+                collected = executor.timings.result_bytes
+        assert collected > 0
+        assert counters.result_bytes == collected
+        assert counters.dispatch_bytes == executor.timings.dispatch_bytes
 
 
 class TestFactoryAndDefaults:
