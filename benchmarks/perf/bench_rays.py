@@ -10,7 +10,7 @@ Two claims are measured (see ``docs/performance.md`` and
    same matrix bytes, same per-iteration histories, same perf
    accounting.
 2. **Speedup** — fusing every active start's line-search stage
-   (geometric sweep, trisection rounds, fallback probes) into one
+   (geometric sweep, speculative trisection trees, fallback probes) into one
    stacked :meth:`CoverageCost.batch_evaluate` beats running the starts
    one after another; the acceptance floor is 1.5x on every cell with
    ``random_starts >= 4``.
@@ -91,7 +91,7 @@ def _runs_identical(serial, lockstep) -> list:
         for name in (
             "accepted_steps", "accept_factorizations", "factorizations",
             "state_builds", "states_reused", "batch_calls",
-            "batch_matrices",
+            "batch_matrices", "wasted_probes",
         ):
             if getattr(perf_a, name) != getattr(perf_b, name):
                 mismatched.append(f"{label}: perf.{name}")

@@ -16,6 +16,23 @@ Two additions over the paper's sketch, both needed in practice:
   all probes of a sweep are evaluated in one vectorized linear-algebra
   call (see :meth:`repro.core.cost.CoverageCost.batch_values`).
 
+**Speculative rounds.**  A trisection round depends on the previous
+round's comparison, so evaluated one round at a time the search makes
+one batch call per round — and at paper scale a call's cost is mostly
+per-call overhead, not arithmetic.  :meth:`TrisectionState.plan_rounds`
+therefore lays out the probes of the next ``depth`` rounds' whole
+decision tree (both outcomes of every comparison) for a single call, and
+:meth:`TrisectionState.replay_rounds` walks the path the values realize
+through the ordinary :meth:`~TrisectionState.round_steps` /
+:meth:`~TrisectionState.observe_round` steps.  Every bracket update is
+the same floating-point operation on the same operands as in the
+round-by-round search, and a stacked evaluation treats its members
+independently, so results are bit-identical at every depth; only the
+probes off the realized path are extra work (counted as
+``wasted_probes``).  The depth is chosen by the batched objective
+(:class:`repro.core.cost.RayBatch`) from its cost's linear-algebra path
+and size; plain callables run one round per call.
+
 Feasibility: the ray must keep every ``p_ij`` strictly inside ``(0, 1)``
 (``U_eps`` is infinite on the boundary).  The upper bound on ``d`` is the
 largest step keeping all entries in the closed box, shrunk by a hair.
@@ -24,10 +41,11 @@ largest step keeping all entries in the closed box, shrunk by a hair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.utils import perf
 from repro.utils.linalg import max_feasible_step
 
 #: Fraction of the boundary-hitting step that is considered usable.
@@ -78,16 +96,19 @@ class _RayEvaluator:
             raise ValueError("provide objective or batch_objective")
         self._objective = objective
         self._batch = batch_objective
-        self.evaluations = 0
+        # Objectives that can hold a speculative tree's probes back from
+        # their winner tracking (``RayBatch``) set their own depth;
+        # anything else runs one round per call.
+        self._speculate = getattr(batch_objective, "speculate", None)
+        self.depth = (
+            getattr(batch_objective, "speculation_depth", 1)
+            if self._speculate is not None else 1
+        )
 
     def __call__(self, steps: Sequence[float]) -> np.ndarray:
         steps = np.asarray(steps, dtype=float)
-        self.evaluations += steps.size
         if self._batch is not None:
-            with np.errstate(all="ignore"):
-                values = np.asarray(self._batch(steps), dtype=float)
-            values[~np.isfinite(values)] = np.inf
-            return values
+            return self._sanitized(self._batch, steps)
         values = np.empty(steps.size)
         for index, step in enumerate(steps):
             try:
@@ -96,6 +117,27 @@ class _RayEvaluator:
                 value = np.inf
             values[index] = value if np.isfinite(value) else np.inf
         return values
+
+    @staticmethod
+    def _sanitized(function, steps: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            values = np.asarray(function(steps), dtype=float)
+        values[~np.isfinite(values)] = np.inf
+        return values
+
+    def rounds(self, search: "TrisectionState") -> None:
+        """Run ``search``'s trisection rounds, ``depth`` per call."""
+        while True:
+            steps = search.plan_rounds(self.depth)
+            if steps is None:
+                return
+            if self._speculate is None:
+                search.replay_rounds(self(steps))
+                continue
+            realized = search.replay_rounds(
+                self._sanitized(self._speculate, steps)
+            )
+            self._batch.observe_realized(realized)
 
 
 class TrisectionState:
@@ -113,10 +155,14 @@ class TrisectionState:
 
     Protocol: :meth:`sweep_steps` -> :meth:`observe_sweep` ->
     repeatedly (:meth:`round_steps` -> :meth:`observe_round`) until
-    ``round_steps`` returns ``None`` -> :meth:`result`.  A search that
-    is finished (infeasible bound, non-finite baseline, exhausted
-    rounds, or a collapsed bracket) returns ``None`` from both
-    ``*_steps`` methods.
+    ``round_steps`` returns ``None`` -> :meth:`result`.  The drivers use
+    the speculative form of the round loop: repeatedly
+    (:meth:`plan_rounds` -> :meth:`replay_rounds`) until ``plan_rounds``
+    returns ``None``; the replay runs the very ``round_steps`` /
+    ``observe_round`` calls of the realized path, so both forms reach
+    the same result bit for bit.  A search that is finished (unusable
+    bound, non-finite baseline, exhausted rounds, or a collapsed
+    bracket) returns ``None`` from every ``*_steps``/``plan_*`` method.
     """
 
     def __init__(
@@ -138,13 +184,20 @@ class TrisectionState:
         self.improvement_rtol = improvement_rtol
         self.geometric_decades = geometric_decades
         self.evaluations = 0
+        #: Speculative probes evaluated off the realized path.
+        self.wasted_probes = 0
         self._rounds_left = rounds
         self._swept = False
+        self._plan: Optional[dict] = None
+        self._plan_depth: Optional[int] = None
         self._result: Optional[LineSearchResult] = None
-        if upper <= 0.0 or not np.isfinite(baseline):
+        usable = bool(np.isfinite(upper)) and upper > 0.0
+        if not usable or not np.isfinite(baseline):
+            # A NaN or infinite bound is as unusable as a non-positive
+            # one: no probe along it can be trusted.
             self._result = LineSearchResult(
                 step=0.0, value=baseline, evaluations=0,
-                step_bound=max(upper, 0.0),
+                step_bound=float(upper) if usable else 0.0,
             )
 
     @property
@@ -182,15 +235,20 @@ class TrisectionState:
             self._lo, self._hi = 0.0, float(self.upper)
         self._swept = True
 
+    def _round_open(self, lo: float, hi: float, rounds_left: int) -> bool:
+        """Whether a round runs on bracket ``[lo, hi]`` with
+        ``rounds_left`` rounds of budget."""
+        return not (
+            rounds_left <= 0 or hi - lo <= max(1e-15, 1e-12 * self.upper)
+        )
+
     def round_steps(self) -> Optional[np.ndarray]:
         """The next refinement round's ``[m1, m2]``, or ``None`` when
         done."""
         if self._result is not None or not self._swept:
             return None
         width = self._hi - self._lo
-        if self._rounds_left <= 0 or width <= max(
-            1e-15, 1e-12 * self.upper
-        ):
+        if not self._round_open(self._lo, self._hi, self._rounds_left):
             self._finish()
             return None
         self._rounds_left -= 1
@@ -210,6 +268,73 @@ class TrisectionState:
             self._hi = self._m2
         else:
             self._lo = self._m1
+
+    def plan_rounds(self, depth: int = 1) -> Optional[np.ndarray]:
+        """Probes of the next ``depth`` rounds' decision tree, or
+        ``None`` when done.
+
+        The tree is laid out in heap order: node ``0`` is the next round;
+        node ``n``'s children are ``2n + 1`` (the round keeps
+        ``[lo, m2]``, i.e. ``v1 <= v2``) and ``2n + 2`` (it keeps
+        ``[m1, hi]``).  Each node contributes its pair ``[m1, m2]``,
+        computed with :meth:`round_steps`' arithmetic from the bracket
+        that branch would hold.  A branch that runs out of round budget
+        or reaches the width tolerance ends there: that node is absent
+        and has no children.  So a full tree has ``2^(depth+1) - 2``
+        probes, and ``depth=1`` is exactly :meth:`round_steps`' pair.
+        Hand the values to :meth:`replay_rounds`.
+        """
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        if self._result is not None or not self._swept:
+            return None
+        if not self._round_open(self._lo, self._hi, self._rounds_left):
+            self._finish()
+            return None
+        plan = {}
+        probes = []
+        level = [(0, self._lo, self._hi, self._rounds_left)]
+        for _ in range(depth):
+            children = []
+            for node, lo, hi, rounds_left in level:
+                if not self._round_open(lo, hi, rounds_left):
+                    continue
+                width = hi - lo
+                m1 = lo + width / 3.0
+                m2 = hi - width / 3.0
+                plan[node] = len(probes)
+                probes.extend((m1, m2))
+                children.append((2 * node + 1, lo, m2, rounds_left - 1))
+                children.append((2 * node + 2, m1, hi, rounds_left - 1))
+            level = children
+        self._plan = plan
+        self._plan_depth = depth
+        return np.array(probes)
+
+    def replay_rounds(self, values: np.ndarray) -> List[int]:
+        """Advance along the path a planned tree's ``values`` realize.
+
+        Every realized node runs :meth:`round_steps` and
+        :meth:`observe_round` — the bracket arithmetic of the
+        round-by-round search — so the search ends up exactly where
+        round-by-round evaluation would have left it.  Returns the
+        offsets (into the planned probes) of the realized pairs, in
+        round order; the other probes count as :attr:`wasted_probes`.
+        """
+        plan, self._plan, self._plan_depth = self._plan, None, None
+        if plan is None:
+            raise RuntimeError("replay_rounds called without plan_rounds")
+        realized = []
+        node = 0
+        while node in plan:
+            offset = plan[node]
+            self.round_steps()
+            v1, v2 = values[offset], values[offset + 1]
+            self.observe_round(v1, v2)
+            realized.append(offset)
+            node = 2 * node + 1 if v1 <= v2 else 2 * node + 2
+        self.wasted_probes += 2 * (len(plan) - len(realized))
+        return realized
 
     def _finish(self) -> None:
         threshold = self.baseline - self.improvement_rtol * max(
@@ -241,11 +366,16 @@ class TrisectionState:
             "improvement_rtol": float(self.improvement_rtol),
             "geometric_decades": int(self.geometric_decades),
             "evaluations": int(self.evaluations),
+            "wasted_probes": int(self.wasted_probes),
             "rounds_left": int(self._rounds_left),
             "swept": bool(self._swept),
         }
         if getattr(self, "_probes", None) is not None:
             payload["probes"] = np.asarray(self._probes).tolist()
+        if self._plan_depth is not None:
+            # The planned tree is a pure function of the bracket and the
+            # budget; :meth:`restore` re-plans it.
+            payload["plan_depth"] = int(self._plan_depth)
         if self._swept:
             payload["best_step"] = float(self.best_step)
             payload["best_value"] = float(self.best_value)
@@ -272,6 +402,7 @@ class TrisectionState:
         )
         search._rounds_left = int(snapshot["rounds_left"])
         search.evaluations = int(snapshot["evaluations"])
+        search.wasted_probes = int(snapshot.get("wasted_probes", 0))
         search._swept = bool(snapshot["swept"])
         if "probes" in snapshot:
             search._probes = np.asarray(snapshot["probes"], dtype=float)
@@ -287,6 +418,8 @@ class TrisectionState:
             # The constructor may have finished an infeasible search the
             # snapshot still considered open; honor the snapshot.
             search._result = None
+        if "plan_depth" in snapshot:
+            search.plan_rounds(int(snapshot["plan_depth"]))
         return search
 
     def result(
@@ -325,7 +458,10 @@ def trisection_search(
     A thin driver over :class:`TrisectionState`: each stage's probes are
     fed to the (preferably batched) objective and the values handed
     back, so this serial path and the lockstep multi-ray path share the
-    exact step-selection arithmetic.
+    exact step-selection arithmetic.  A :class:`~repro.core.cost.RayBatch`
+    objective gets several trisection rounds per call (see the module
+    docstring); the result is the same bit for bit, and
+    ``evaluations`` counts only the probes on the realized path.
 
     Parameters
     ----------
@@ -349,8 +485,10 @@ def trisection_search(
         Vectorized ``d-array -> U-array``; preferred when available.
     """
     evaluator = _RayEvaluator(objective, batch_objective)
+    evaluations = 0
     if baseline is None:
         baseline = float(evaluator([0.0])[0])
+        evaluations = 1
     search = TrisectionState(
         upper=upper, baseline=baseline, rounds=rounds,
         improvement_rtol=improvement_rtol,
@@ -359,10 +497,7 @@ def trisection_search(
     probes = search.sweep_steps()
     if probes is not None:
         search.observe_sweep(evaluator(probes))
-        while True:
-            pair = search.round_steps()
-            if pair is None:
-                break
-            v1, v2 = evaluator(pair)
-            search.observe_round(v1, v2)
-    return search.result(evaluations=evaluator.evaluations)
+        evaluator.rounds(search)
+    if search.wasted_probes:
+        perf.count("wasted_probes", search.wasted_probes)
+    return search.result(evaluations=evaluations + search.evaluations)

@@ -52,6 +52,25 @@ class BarrierPenalty(ObjectiveTerm):
         p = np.asarray(p, dtype=float)
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise ValueError("penalty is defined on [0, 1] entries only")
+        return self._phi(p)
+
+    def row_sums(self, rows: np.ndarray) -> np.ndarray:
+        """``elementwise_value(row).sum()`` for every row, in one pass.
+
+        ``rows`` has shape ``(k, ...)``; each row is summed over all its
+        trailing entries.  The batched line search calls this once per
+        stack, so the caller guarantees the entries lie in ``[0, 1]``
+        (its feasibility mask already enforces the box) and no range
+        scan is repeated here.  Each row's sum is bit-identical to
+        ``elementwise_value(row).sum()``: the same per-entry expressions
+        and the same pairwise summation over a contiguous row.
+        """
+        rows = np.asarray(rows, dtype=float)
+        flat = rows.reshape(rows.shape[0], int(np.prod(rows.shape[1:])))
+        return self._phi(flat).sum(axis=1)
+
+    def _phi(self, p: np.ndarray) -> np.ndarray:
+        """The per-entry barrier formula, without the range check."""
         eps = self.epsilon
         result = np.zeros_like(p)
         lower = p <= eps

@@ -37,6 +37,10 @@ class PerfCounters:
     costs one stacked solve plus one stacked inversion, but never a
     per-matrix Python round trip).
 
+    ``wasted_probes`` counts speculative line-search probes that landed
+    off the realized trisection path (evaluated inside ``batch_matrices``
+    but never seen by the search); see ``docs/performance.md``.
+
     ``eq=False``: scope bookkeeping removes a finished scope's counters
     from the active list by identity; value equality would let two
     concurrent scopes with equal tallies remove each other's entry.
@@ -47,6 +51,7 @@ class PerfCounters:
     states_reused: int = 0
     batch_calls: int = 0
     batch_matrices: int = 0
+    wasted_probes: int = 0
     executor_tasks: int = 0
     executor_task_seconds: float = 0.0
     sparse_factorizations: int = 0
@@ -126,6 +131,7 @@ class OptimizerPerf:
     states_reused: int = 0
     batch_calls: int = 0
     batch_matrices: int = 0
+    wasted_probes: int = 0
     accepted_steps: int = 0
     accept_factorizations: int = 0
     seconds: float = 0.0
@@ -141,6 +147,7 @@ class OptimizerPerf:
             states_reused=counters.states_reused,
             batch_calls=counters.batch_calls,
             batch_matrices=counters.batch_matrices,
+            wasted_probes=counters.wasted_probes,
             dispatch_bytes=counters.dispatch_bytes,
             dispatch_seconds=counters.dispatch_seconds,
             **extra,

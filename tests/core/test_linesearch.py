@@ -49,6 +49,25 @@ class TestTrisectionSearch:
         assert result.step == 0.0
         assert result.evaluations == 0
 
+    @pytest.mark.parametrize("upper", [float("nan"), float("inf")])
+    def test_nonfinite_upper_short_circuits(self, upper):
+        """A NaN or infinite bound finishes at once, like ``upper <= 0``:
+        no probe is evaluated and the reported bound is 0."""
+        calls = []
+
+        def batch(steps):
+            calls.append(np.asarray(steps).size)
+            return (np.asarray(steps) - 0.3) ** 2
+
+        result = trisection_search(
+            upper=upper, baseline=1.0, batch_objective=batch
+        )
+        assert result.step == 0.0
+        assert result.value == 1.0
+        assert result.evaluations == 0
+        assert result.step_bound == 0.0
+        assert calls == []
+
     def test_infinite_baseline_short_circuits(self):
         result = trisection_search(
             lambda d: d, upper=1.0, baseline=float("inf")

@@ -229,6 +229,7 @@ class TestLockstepMultistart:
             assert perf_a.states_reused == perf_b.states_reused
             assert perf_a.batch_calls == perf_b.batch_calls
             assert perf_a.batch_matrices == perf_b.batch_matrices
+            assert perf_a.wasted_probes == perf_b.wasted_probes
 
     def test_execution_knob_routes_to_lockstep(self, cost_both):
         opts = PerturbedOptions(max_iterations=6, stall_limit=100)
